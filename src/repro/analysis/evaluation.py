@@ -8,9 +8,10 @@ The paper reports three kinds of numbers for every attack configuration:
 * the test accuracy of the modified model on the full held-out test set
   (Table 4), compared against the clean model's accuracy.
 
-:func:`evaluate_attack_result` computes all of them for a
-:class:`~repro.attacks.fault_sneaking.FaultSneakingResult` (or any result
-object exposing the same small interface) against a test dataset.
+:func:`evaluate_attack_results` computes all of them for attack results
+(:class:`~repro.attacks.fault_sneaking.FaultSneakingResult` or any result
+object exposing the same small interface) against a test dataset;
+:func:`evaluate_attack_result` is its one-result form.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from repro.data.dataset import Dataset
 from repro.nn.metrics import accuracy as _accuracy
-from repro.nn.model import Sequential
+from repro.nn.model import PrefixCache, Sequential
 
 __all__ = [
     "AttackEvaluation",
@@ -103,15 +104,17 @@ def evaluate_attack_result(
     zero_tolerance: float = 1e-8,
     batch_size: int = 256,
 ) -> AttackEvaluation:
-    """Evaluate an attack result object against a held-out test set.
+    """Evaluate one attack result against a held-out test set.
 
     Parameters
     ----------
     result:
-        Any object exposing ``delta``, ``plan`` (with ``num_targets`` /
-        ``num_images``), ``success_mask``, ``keep_mask`` and
-        ``modified_model()`` — both :class:`FaultSneakingResult` and
-        :class:`GradientDescentResult` qualify.
+        Any object exposing ``view`` (its
+        :class:`~repro.attacks.parameter_view.ParameterView`), ``delta``,
+        ``plan`` (with ``num_targets`` / ``num_images``), ``success_mask``,
+        ``keep_mask`` and ``modified_model()`` — both
+        :class:`FaultSneakingResult` and :class:`GradientDescentResult`
+        qualify.
     test_set:
         The full held-out test set used for the accuracy-retention numbers.
     clean_model:
@@ -122,19 +125,14 @@ def evaluate_attack_result(
     zero_tolerance:
         Threshold below which a modification entry counts as zero.
     """
-    delta = np.asarray(result.delta)
-    model = clean_model if clean_model is not None else result.view.model
-    if clean_accuracy is None:
-        clean_accuracy = model.evaluate(
-            test_set.images, test_set.labels, batch_size=batch_size
-        )
-    attacked_model = result.modified_model()
-    attacked_accuracy = attacked_model.evaluate(
-        test_set.images, test_set.labels, batch_size=batch_size
-    )
-    return _build_evaluation(
-        result, delta, clean_accuracy, attacked_accuracy, zero_tolerance
-    )
+    return evaluate_attack_results(
+        [result],
+        test_set,
+        clean_model=clean_model,
+        clean_accuracy=clean_accuracy,
+        zero_tolerance=zero_tolerance,
+        batch_size=batch_size,
+    )[0]
 
 
 def evaluate_attack_results(
@@ -150,11 +148,11 @@ def evaluate_attack_results(
 
     Every result must attack the same victim through the same parameter
     selection (a fused campaign group by construction).  The test-set
-    activations below the first attacked layer are computed once per
-    mini-batch on the clean model and only the suffix layers re-run per
-    attack.  The prefix layers are unmodified copies in every attacked
-    model, so each returned accuracy is bit-identical to what
-    :func:`evaluate_attack_result` computes for that result alone.
+    activations below the first attacked layer are computed once on the
+    clean model (:class:`~repro.nn.model.PrefixCache`) and only the suffix
+    layers re-run per attack, so each accuracy is bit-identical to a
+    full-network evaluation of that attacked model.  A test image whose
+    logits are not finite counts as misclassified.
     """
     if not results:
         return []
@@ -165,34 +163,20 @@ def evaluate_attack_results(
             f"results must share one attacked-parameter selection, got "
             f"first layer indices {sorted(starts)}"
         )
+    labels = test_set.labels
+    prefix = PrefixCache(model, test_set.images, starts.pop(), batch_size=batch_size)
     if clean_accuracy is None:
-        clean_accuracy = model.evaluate(
-            test_set.images, test_set.labels, batch_size=batch_size
+        clean_accuracy = _accuracy(labels, prefix.predict(model))
+    return [
+        _build_evaluation(
+            result,
+            np.asarray(result.delta),
+            clean_accuracy,
+            _accuracy(labels, prefix.predict(result.modified_model())),
+            zero_tolerance,
         )
-    start = starts.pop()
-    attacked_models = [result.modified_model() for result in results]
-    images, labels = test_set.images, test_set.labels
-    logit_chunks: list[list[np.ndarray]] = [[] for _ in results]
-    for batch_start in range(0, images.shape[0], batch_size):
-        batch = images[batch_start : batch_start + batch_size]
-        prefix = model.forward_between(batch, 0, start)
-        for index, attacked in enumerate(attacked_models):
-            logit_chunks[index].append(
-                attacked.forward_between(prefix, start, attacked.logits_end)
-            )
-    evaluations = []
-    for result, chunks in zip(results, logit_chunks):
-        predictions = np.argmax(np.concatenate(chunks, axis=0), axis=1)
-        evaluations.append(
-            _build_evaluation(
-                result,
-                np.asarray(result.delta),
-                clean_accuracy,
-                _accuracy(labels, predictions),
-                zero_tolerance,
-            )
-        )
-    return evaluations
+        for result in results
+    ]
 
 
 def _build_evaluation(

@@ -82,7 +82,8 @@ from repro.hardware.device.mitigations import (
 from repro.hardware.device.profiles import DeviceProfile, get_profile
 from repro.hardware.device.templates import FlipTemplate
 from repro.hardware.memory import MemoryLayout, ParameterMemoryMap
-from repro.nn.model import Sequential
+from repro.nn.metrics import accuracy as _accuracy
+from repro.nn.model import PrefixCache, Sequential, predict_classes
 from repro.nn.quantization import QuantizationSpec, dequantize, storage_spec
 from repro.utils.errors import ConfigurationError
 from repro.utils.rng import RandomState, derive_seed, fork_rng
@@ -299,8 +300,9 @@ def _best_feasible_mask(
         masks, flips = masks[allowed], flips[allowed]
     dtype = spec.storage_dtype()
     candidates = np.bitwise_xor(dtype.type(original_word), masks.astype(dtype))
-    values = dequantize(candidates, spec)
-    distance = np.abs(values - target)
+    # Candidates decoding to Inf/NaN are filtered right below.
+    with np.errstate(invalid="ignore"):
+        distance = np.abs(dequantize(candidates, spec) - target)
     distance = np.where(np.isfinite(distance), distance, np.inf)
     best = int(np.lexsort((flips, distance))[0])
     if distance[best] < abs(original_value - target):
@@ -389,47 +391,40 @@ def _choose_frames(
     pages = word_addresses // page_bytes
     num_words = words.size
 
-    cell_bits = np.arange(bits, dtype=np.int64)
-    shape = (k_total, num_words, bits)
-    addresses_grid = np.broadcast_to(word_addresses[None, :, None], shape)
-    bits_grid = np.broadcast_to(cell_bits[None, None, :], shape)
+    # Broadcast operands — cells (1, W, 1) × (1, 1, B), frames (K, W, 1) —
+    # so each (frame, word) pair is hashed once, not once per bit.
+    cell_bits = np.arange(bits, dtype=np.int64)[None, None, :]
     original_grid = original_words[words]
-    original_bits_grid = np.broadcast_to(
-        ((original_grid.astype(np.int64)[:, None] >> cell_bits) & 1)[None], shape
-    )
-    frames_grid = np.broadcast_to(
-        pages[None, :, None] * k_total
-        + np.arange(k_total, dtype=np.int64)[:, None, None],
-        shape,
-    )
-    feasible = template.feasible_cells(
-        addresses_grid.ravel(), bits_grid.ravel(), original_bits_grid.ravel(),
-        frames_grid.ravel(),
-    ).reshape(shape)
+    original_bits = (original_grid.astype(np.int64)[None, :, None] >> cell_bits) & 1
+    addresses = word_addresses[None, :, None]
+    frames = pages[None, :, None] * k_total + np.arange(k_total, dtype=np.int64)[:, None, None]
+    feasible = template.feasible_cells(addresses, cell_bits, original_bits, frames)
     probabilities = None
     if optimize_expected:
         probabilities = template.cell_flip_probabilities(
-            addresses_grid.ravel(), bits_grid.ravel(), frames_grid.ravel(),
-            scale=yield_scale,
-        ).reshape(shape)
+            addresses, cell_bits, frames, scale=yield_scale
+        )
 
     # Greedy descent: walk bits most-significant first, taking any feasible
     # flip that moves the stored value closer to the target.  In expected
     # mode the error only shrinks by the flip's landing probability, so a
     # frame accumulates score in proportion to how reliably its cells land.
+    # Flipped exponent bits can decode to Inf/NaN; their distances compare
+    # False and never win, so the invalid-value warnings are silenced.
     dtype = spec.storage_dtype()
     current = np.broadcast_to(original_grid[None, :], (k_total, num_words)).copy()
     target = target_repr[words]
-    error = np.abs(dequantize(current, spec) - target[None, :])
-    for b in range(bits - 1, -1, -1):
-        candidate = np.bitwise_xor(current, dtype.type(1 << b))
-        candidate_error = np.abs(dequantize(candidate, spec) - target[None, :])
-        if probabilities is not None:
-            p = probabilities[:, :, b]
-            candidate_error = p * candidate_error + (1.0 - p) * error
-        better = feasible[:, :, b] & (candidate_error < error)
-        current = np.where(better, candidate, current)
-        error = np.where(better, candidate_error, error)
+    with np.errstate(invalid="ignore"):
+        error = np.abs(dequantize(current, spec) - target[None, :])
+        for b in range(bits - 1, -1, -1):
+            candidate = np.bitwise_xor(current, dtype.type(1 << b))
+            candidate_error = np.abs(dequantize(candidate, spec) - target[None, :])
+            if probabilities is not None:
+                p = probabilities[:, :, b]
+                candidate_error = p * candidate_error + (1.0 - p) * error
+            better = feasible[:, :, b] & (candidate_error < error)
+            current = np.where(better, candidate, current)
+            error = np.where(better, candidate_error, error)
 
     placement: dict[int, int] = {}
     for page in np.unique(pages).tolist():
@@ -464,24 +459,25 @@ def _apply_template(
     keep = ~np.isin(word_index, bad_words)
     bits_per_word = memory.spec.bits_per_value
     cell_bits = np.arange(bits_per_word, dtype=np.int64)
+    # One feasibility lookup for every re-routed word: (words, 1) addresses
+    # and frames against (1, bits) cells.
+    word_addresses = (memory.layout.base_address + bad_words * memory.bytes_per_word)[:, None]
+    cell_feasible = template.feasible_cells(
+        word_addresses,
+        cell_bits[None, :],
+        (original_words[bad_words].astype(np.int64)[:, None] >> cell_bits) & 1,
+        _frames_for(word_addresses, placement, k_total, page_bytes),
+    )
     new_words: list[int] = []
     new_bits: list[int] = []
     words_rerouted = 0
-    for word in bad_words.tolist():
+    for position, word in enumerate(bad_words.tolist()):
         word_value = int(original_words[word])
-        original_cell_bits = (word_value >> cell_bits) & 1
-        cell_addresses = np.full(
-            bits_per_word, memory.layout.base_address + word * memory.bytes_per_word
-        )
-        cell_frames = _frames_for(cell_addresses, placement, k_total, page_bytes)
-        cell_feasible = template.feasible_cells(
-            cell_addresses, cell_bits, original_cell_bits, cell_frames
-        )
         mask = _best_feasible_mask(
             word_value,
             float(original_values[word]),
             float(target_repr[word]),
-            cell_bits[cell_feasible],
+            cell_bits[cell_feasible[position]],
             memory.spec,
             limit,
         )
@@ -589,7 +585,9 @@ def _ecc_self_pad(
         return None
     dtype = spec.storage_dtype()
     candidates = np.bitwise_xor(dtype.type(word_value), masks.astype(dtype))
-    distance = np.abs(dequantize(candidates, spec) - float(target_repr[word]))
+    # Candidates decoding to Inf/NaN are filtered right below.
+    with np.errstate(invalid="ignore"):
+        distance = np.abs(dequantize(candidates, spec) - float(target_repr[word]))
     distance = np.where(np.isfinite(distance) & allowed, distance, np.inf)
     best = int(np.lexsort((flips, distance))[0])
     if distance[best] < abs(float(original_values[word]) - float(target_repr[word])):
@@ -1207,12 +1205,80 @@ def _trial_streams(
     return streams[:trials]
 
 
+class _Remeasure:
+    """Bit-true re-measurement of executed plans on one working model.
+
+    :meth:`execute` rewrites the working model's attacked parameters from
+    the pristine memory words plus one executed plan, so a single model
+    serves every trial instead of a copy of the victim each.  The rates and
+    accuracies re-run only the layers from the first attacked one on
+    (:class:`~repro.nn.model.PrefixCache`), from clean activations computed
+    once, which gives the logits of a full-network pass bit for bit.  An
+    image whose logits are not finite predicts no class: it is neither a
+    success, a keep nor a correct test prediction.
+    """
+
+    def __init__(
+        self,
+        victim: Sequential,
+        working: ParameterView,
+        spec: QuantizationSpec,
+        layout: MemoryLayout | None,
+        attack_plan,
+        eval_set=None,
+        batch_size: int = 256,
+    ):
+        self.model = working.model
+        self.memory = ParameterMemoryMap(working, spec=spec, layout=layout)
+        self.pristine = self.memory.read_words()
+        start = working.first_layer_index
+        self._num_targets = attack_plan.num_targets
+        self._desired = attack_plan.desired_labels
+        self._plan = PrefixCache(victim, attack_plan.images, start)
+        self._eval: PrefixCache | None = None
+        if eval_set is not None:
+            self._eval_labels = eval_set.labels
+            self._eval = PrefixCache(
+                victim, eval_set.images, start, batch_size=batch_size
+            )
+
+    def execute(
+        self, plan: BitFlipPlan, ecc: EccScheme | None = None
+    ) -> "tuple[BitFlipPlan, EccSummary | None]":
+        """Load the pristine words plus ``plan`` (through ``ecc``) into the model.
+
+        Returns the plan the memory executed (after ECC decoding) and the
+        decoder's summary (None without ECC).
+        """
+        self.memory.write_words(self.pristine)
+        summary = None
+        if ecc is not None:
+            plan, summary = ecc.apply_to_plan(plan, self.memory)
+        self.memory.apply_plan(plan)
+        self.memory.flush_to_model()
+        return plan, summary
+
+    def rates(self, model: Sequential) -> tuple[float, float, np.ndarray]:
+        """Success rate, keep rate and target-image logits of ``model``."""
+        logits = self._plan.logits(model)
+        hits = predict_classes(logits) == self._desired
+        success, keep = hits[: self._num_targets], hits[self._num_targets :]
+        return (
+            float(success.mean()) if success.size else 1.0,
+            float(keep.mean()) if keep.size else 1.0,
+            logits[: self._num_targets],
+        )
+
+    def accuracy(self, model: Sequential) -> float:
+        """Test accuracy of ``model`` on the eval set (NaN without one)."""
+        if self._eval is None:
+            return float("nan")
+        return _accuracy(self._eval_labels, self._eval.predict(model))
+
+
 def _run_trials(
-    victim: Sequential,
-    selector,
+    remeasure: _Remeasure,
     repair: PlanRepair,
-    spec: QuantizationSpec,
-    layout: MemoryLayout,
     template: FlipTemplate | None,
     ecc: EccScheme | None,
     trr,
@@ -1221,9 +1287,6 @@ def _run_trials(
     page_bytes: int,
     trials: int,
     rng,
-    attack_plan,
-    eval_set,
-    batch_size: int,
     variance_reduction: str = "independent",
     crn_seed: int = 0,
     env_scale: float = 1.0,
@@ -1252,10 +1315,7 @@ def _run_trials(
     # exactly what sample_flips would consume, in the same order.
     feasible = probabilities = None
     if template is not None and plan.num_flips:
-        pristine = ParameterMemoryMap(
-            ParameterView(victim.copy(), selector), spec=spec, layout=layout
-        )
-        feasible = template.feasible_mask(plan, pristine.read_words(), frames)
+        feasible = template.feasible_mask(plan, remeasure.pristine, frames)
         probabilities = template.cell_flip_probabilities(
             address, bit, frames, scale=yield_scale
         )
@@ -1272,10 +1332,6 @@ def _run_trials(
         probabilities.shape if probabilities is not None else None,
     )
     for t, (uniforms, trial_rng) in enumerate(streams):
-        model = victim.copy()
-        memory = ParameterMemoryMap(
-            ParameterView(model, selector), spec=spec, layout=layout
-        )
         if feasible is not None:
             draws = trial_rng.random(probabilities.shape) if uniforms is None else uniforms
             mask = feasible & (draws < probabilities)
@@ -1291,7 +1347,7 @@ def _run_trials(
             # input to it.
             hammer = plan_hammer(
                 np.unique(row),
-                geometry=memory.layout.geometry,
+                geometry=remeasure.memory.layout.geometry,
                 pattern=pattern,
                 sampler=trr,
                 rng=trial_rng,
@@ -1299,28 +1355,16 @@ def _run_trials(
             mask &= np.isin(row, hammer.feasible_victims)
         trial_plan = plan.select(mask)
         landed[t] = trial_plan.num_flips
-        trial_alarms = 0
-        if ecc is not None:
-            executed, trial_summary = ecc.apply_to_plan(trial_plan, memory)
-            trial_alarms = trial_summary.alarms
-        else:
-            executed = trial_plan
-        memory.apply_plan(executed)
-        memory.flush_to_model()
-        success_mask, keep_mask, _ = _attack_rates(model, attack_plan)
-        success[t] = float(success_mask.mean()) if success_mask.size else 1.0
-        keep[t] = float(keep_mask.mean()) if keep_mask.size else 1.0
-        if eval_set is not None:
-            accuracy[t] = model.evaluate(
-                eval_set.images, eval_set.labels, batch_size=batch_size
-            )
+        _, trial_summary = remeasure.execute(trial_plan, ecc)
+        success[t], keep[t], _ = remeasure.rates(remeasure.model)
+        accuracy[t] = remeasure.accuracy(remeasure.model)
         outcomes.append(
             TrialOutcome(
                 landed=mask.copy(),
                 success_rate=float(success[t]),
                 keep_rate=float(keep[t]),
                 accuracy=float(accuracy[t]),
-                ecc_alarms=int(trial_alarms),
+                ecc_alarms=int(trial_summary.alarms if trial_summary is not None else 0),
             )
         )
     return TrialStatistics(
@@ -1439,17 +1483,6 @@ def _target_margins(logits: np.ndarray, desired: np.ndarray) -> np.ndarray:
     return desired_scores - masked.max(axis=1)
 
 
-def _attack_rates(model, attack_plan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Success/keep masks and target logits of a model on an attack plan."""
-    num_targets = attack_plan.num_targets
-    logits = model.predict_logits(attack_plan.images)
-    predictions = np.argmax(logits, axis=1)
-    desired = attack_plan.desired_labels
-    success_mask = predictions[:num_targets] == desired[:num_targets]
-    keep_mask = predictions[num_targets:] == desired[num_targets:]
-    return success_mask, keep_mask, logits[:num_targets]
-
-
 def lower_attack(
     result,
     *,
@@ -1471,7 +1504,6 @@ def lower_attack(
     expected_repair: bool = False,
     env_drift: float = 0.0,
     eval_set=None,
-    clean_accuracy: float | None = None,
     batch_size: int = 256,
 ) -> LoweringReport:
     """Lower a solved attack into bit flips and re-verify it bit-true.
@@ -1552,11 +1584,17 @@ def lower_attack(
         suppresses landings, negative drift boosts them.  ``0.0`` (default)
         reproduces the nominal model bit-for-bit.
     eval_set:
-        Held-out dataset for the bit-true accuracy numbers.  When ``None``
-        the accuracy fields are NaN.
-    clean_accuracy:
-        Pre-computed clean accuracy on ``eval_set`` (avoids re-evaluating the
-        clean model in sweeps).
+        Held-out dataset for the clean and bit-true accuracy numbers.  When
+        ``None`` the accuracy fields are NaN.
+    batch_size:
+        Mini-batch size of the eval-set forward passes.
+
+    Every re-measurement — trials, the raw ECC baseline, the final report
+    and the clean accuracy — re-runs only the layers from the first attacked
+    one on, over clean activations computed once per call, and yields the
+    same numbers as full-network passes.  An image whose logits are not
+    finite predicts no class (neither a success, a keep nor a correct test
+    prediction).
     """
     if trials < 0:
         raise ConfigurationError(f"trials must be >= 0, got {trials}")
@@ -1595,7 +1633,9 @@ def lower_attack(
             "attack result delta does not match the victim's attacked parameters"
         )
 
-    memory = ParameterMemoryMap(view, spec=spec, layout=layout)
+    attack_plan = result.plan
+    remeasure = _Remeasure(victim, view, spec, layout, attack_plan, eval_set, batch_size)
+    memory = remeasure.memory
     target_values = view.baseline + result.delta
     planned = plan_bit_flips(memory, target_values)
     repair = repair_plan(
@@ -1606,7 +1646,6 @@ def lower_attack(
         env_scale=env_scale,
     )
 
-    attack_plan = result.plan
     trial_stats = None
     if trials > 0:
         # The trials simulate exactly the pattern the plan was repaired
@@ -1617,11 +1656,8 @@ def lower_attack(
             else None
         )
         trial_stats = _run_trials(
-            victim,
-            result.view.selector,
+            remeasure,
             repair,
-            spec,
-            memory.layout,
             template,
             ecc,
             trr,
@@ -1630,56 +1666,30 @@ def lower_attack(
             _massage_page_bytes(memory, ecc),
             trials,
             rng,
-            attack_plan,
-            eval_set,
-            batch_size,
             variance_reduction=variance_reduction,
             crn_seed=crn_seed,
             env_scale=env_scale,
         )
-    ecc_summary = ecc_raw_summary = None
+    ecc_raw_summary = None
     unrepaired_success = unrepaired_keep = float("nan")
     if ecc is not None:
         # What would the ECC controller have done to the *unrepaired* plan?
         # This is the baseline showing why re-routing is necessary: isolated
         # flips get corrected away and the bit-true success rate collapses.
-        raw_effective, ecc_raw_summary = ecc.apply_to_plan(repair.pre_ecc_plan, memory)
-        raw_model = victim.copy()
-        raw_memory = ParameterMemoryMap(
-            ParameterView(raw_model, result.view.selector), spec=spec, layout=layout
-        )
-        raw_memory.apply_plan(raw_effective)
-        raw_memory.flush_to_model()
-        raw_success, raw_keep, _ = _attack_rates(raw_model, attack_plan)
-        unrepaired_success = float(raw_success.mean()) if raw_success.size else 1.0
-        unrepaired_keep = float(raw_keep.mean()) if raw_keep.size else 1.0
-        executed, ecc_summary = ecc.apply_to_plan(repair.plan, memory)
-    else:
-        executed = repair.plan
+        _, ecc_raw_summary = remeasure.execute(repair.pre_ecc_plan, ecc)
+        unrepaired_success, unrepaired_keep, _ = remeasure.rates(model_copy)
 
-    memory.apply_plan(executed)
-    memory.flush_to_model()
-
+    # The trials and the raw baseline ran on this same model: the repaired
+    # plan executes last, so the report's model carries exactly its flips.
+    executed, ecc_summary = remeasure.execute(repair.plan, ecc)
     achieved = view.gather()
     quantization_error = (
         float(np.max(np.abs(achieved - target_values))) if achieved.size else 0.0
     )
 
-    success_mask, keep_mask, target_logits = _attack_rates(model_copy, attack_plan)
+    success_rate, keep_rate, target_logits = remeasure.rates(model_copy)
     num_targets = attack_plan.num_targets
     margins = _target_margins(target_logits, attack_plan.desired_labels[:num_targets])
-
-    attacked_accuracy = float("nan")
-    if eval_set is not None:
-        attacked_accuracy = model_copy.evaluate(
-            eval_set.images, eval_set.labels, batch_size=batch_size
-        )
-        if clean_accuracy is None:
-            clean_accuracy = victim.evaluate(
-                eval_set.images, eval_set.labels, batch_size=batch_size
-            )
-    if clean_accuracy is None:
-        clean_accuracy = float("nan")
 
     return LoweringReport(
         spec=spec,
@@ -1688,11 +1698,11 @@ def lower_attack(
         plan=repair.plan,
         repair=repair,
         quantization_error=quantization_error,
-        success_rate=float(success_mask.mean()) if success_mask.size else 1.0,
-        keep_rate=float(keep_mask.mean()) if keep_mask.size else 1.0,
+        success_rate=success_rate,
+        keep_rate=keep_rate,
         target_margins=margins,
-        clean_accuracy=float(clean_accuracy),
-        attacked_accuracy=float(attacked_accuracy),
+        clean_accuracy=remeasure.accuracy(victim),
+        attacked_accuracy=remeasure.accuracy(model_copy),
         attacked_model=model_copy,
         profile=device.name if device is not None else None,
         hammer_pattern=repair.hammer_pattern,

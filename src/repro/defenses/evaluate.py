@@ -28,11 +28,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.attacks.lowering import (
-    LoweringReport,
-    TrialStatistics,
-    _attack_rates,
-)
+from repro.attacks.lowering import LoweringReport, TrialStatistics, _Remeasure
 from repro.attacks.parameter_view import ParameterView
 from repro.defenses.base import (
     Defense,
@@ -42,7 +38,6 @@ from repro.defenses.base import (
 )
 from repro.hardware.bitflip import BitFlipPlan
 from repro.hardware.device import get_pattern, get_profile
-from repro.hardware.memory import ParameterMemoryMap
 from repro.nn.quantization import storage_spec
 from repro.utils.errors import ConfigurationError
 from repro.utils.rng import RandomState, derive_seed
@@ -95,9 +90,7 @@ def _surviving_remapped(
     plan: BitFlipPlan,
     select: np.ndarray,
     occupant: np.ndarray,
-    solved: Any,
-    spec: Any,
-    layout: Any,
+    remeasure: _Remeasure,
     ecc: Any,
 ) -> float:
     """Re-measure one trial's success with its landed flips remapped."""
@@ -109,17 +102,8 @@ def _surviving_remapped(
         row[select],
         num_words_total=plan.num_words_total,
     )
-    model = solved.view.model.copy()
-    memory = ParameterMemoryMap(
-        ParameterView(model, solved.view.selector), spec=spec, layout=layout
-    )
-    executed = trial_plan
-    if ecc is not None:
-        executed, _ = ecc.apply_to_plan(trial_plan, memory)
-    memory.apply_plan(executed)
-    memory.flush_to_model()
-    success_mask, _, _ = _attack_rates(model, solved.plan)
-    return float(success_mask.mean()) if success_mask.size else 1.0
+    remeasure.execute(trial_plan, ecc)
+    return remeasure.rates(remeasure.model)[0]
 
 
 def evaluate_defense(
@@ -177,20 +161,22 @@ def evaluate_defense(
     )
 
     victim = solved.view.model
-    memory = ParameterMemoryMap(
-        ParameterView(victim.copy(), solved.view.selector), spec=spec, layout=layout
+    # One working copy serves every remapped trial's re-measurement.
+    remeasure = _Remeasure(
+        victim,
+        ParameterView(victim.copy(), solved.view.selector),
+        spec,
+        layout,
+        solved.plan,
     )
-    original_words = memory.read_words()
+    original_words = remeasure.pristine
     word_index, bit, address, row = report.plan.as_arrays()
     flip_times = timeline.flip_times(row)
 
     occupant, effective = defense.remap_plan(word_index, bit, original_words)
     identity_placement = occupant is word_index and bool(np.all(effective))
 
-    clean_success_mask, _, _ = _attack_rates(victim, solved.plan)
-    restored_success = (
-        float(clean_success_mask.mean()) if clean_success_mask.size else 1.0
-    )
+    restored_success = remeasure.rates(victim)[0]
 
     evaded = np.empty(len(stats.outcomes), dtype=bool)
     detected = np.empty(len(stats.outcomes), dtype=bool)
@@ -206,7 +192,7 @@ def evaluate_defense(
             flip_times=flip_times,
             timeline=timeline,
             ecc_alarms=outcome.ecc_alarms,
-            region_bytes=memory.total_bytes,
+            region_bytes=remeasure.memory.total_bytes,
             base_address=layout.base_address,
             row_bytes=layout.row_bytes,
             template=template,
@@ -225,9 +211,7 @@ def evaluate_defense(
                 report.plan,
                 outcome.landed & effective,
                 occupant,
-                solved,
-                spec,
-                layout,
+                remeasure,
                 prof.ecc,
             )
         elif detected[t] and not evaded[t]:

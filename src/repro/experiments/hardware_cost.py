@@ -244,7 +244,6 @@ class LoweredCell:
     solved: _SolvedAttack
     report: LoweringReport
     eval_set: object
-    clean_accuracy: float
     l0: int
 
     def metrics(self) -> dict:
@@ -284,7 +283,6 @@ def lowered_cell(
     trained = get_trained_model(dataset, scale, registry=registry, seed=seed)
     anchor_pool, eval_set = anchor_and_eval_split(trained)
     config = attack_config_for(scale, norm="l0")
-    clean_accuracy = trained.model.evaluate(eval_set.images, eval_set.labels)
     plan = make_attack_plan(anchor_pool, num_targets=s, num_images=r, seed=plan_seed)
     solved = _solve_attack(
         trained,
@@ -336,13 +334,11 @@ def lowered_cell(
         crn_seed=int(flip_seed),
         env_drift=env_drift,
         eval_set=eval_set,
-        clean_accuracy=clean_accuracy,
     )
     return LoweredCell(
         solved=solved,
         report=report,
         eval_set=eval_set,
-        clean_accuracy=clean_accuracy,
         l0=int(np.count_nonzero(np.abs(solved.delta) > config.zero_tolerance)),
     )
 

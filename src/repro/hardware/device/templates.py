@@ -134,8 +134,11 @@ class FlipTemplate:
         ``addresses`` are word byte addresses and ``bits`` bit positions
         within the word (little-endian), so ``address * 8 + bit`` is the
         cell's global bit index; equal seeds give byte-identical results.
-        ``frames`` (optional, same shape) selects the massaged physical frame
-        of each cell's row — different frame ids give independent templates.
+        ``frames`` (optional) selects the massaged physical frame of each
+        cell's row — different frame ids give independent templates.  The
+        three inputs broadcast against each other, so ``(1, W, 1)``
+        addresses, ``(1, 1, B)`` bits and ``(K, W, 1)`` frames give the
+        ``(K, W, B)`` states while hashing each frame id once.
         """
         addresses = np.asarray(addresses, dtype=np.int64)
         bits = np.asarray(bits, dtype=np.int64)
@@ -233,7 +236,10 @@ class FlipTemplate:
         bits = np.asarray(bits, dtype=np.int64)
         base = min(max(float(self.landing_probability) * float(scale), 0.0), 1.0)
         if base >= 1.0:
-            return np.ones(np.broadcast(addresses, bits).shape, dtype=np.float64)
+            shape = np.broadcast_shapes(
+                addresses.shape, bits.shape, () if frames is None else np.shape(frames)
+            )
+            return np.ones(shape, dtype=np.float64)
         cell = (addresses.astype(np.uint64) << np.uint64(3)) + bits.astype(np.uint64)
         if frames is not None:
             cell = cell ^ _splitmix64(np.asarray(frames, dtype=np.int64).astype(np.uint64))

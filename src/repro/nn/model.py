@@ -11,6 +11,10 @@ exposes the hooks the fault-sneaking attack relies on:
   ``layer.params[...]`` arrays — the attack mutates parameters directly;
 * :meth:`Sequential.snapshot` / :meth:`Sequential.restore` — cheap state
   save/restore around an attack or fault-injection campaign.
+
+:class:`PrefixCache` is the re-measurement kernel built on
+``forward_between``: it keeps a clean model's activations below the first
+modified layer and re-runs only the suffix for every modified copy.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from repro.nn.layers import Layer, Softmax, layer_from_config
 from repro.nn.metrics import accuracy as _accuracy
 from repro.utils.errors import ConfigurationError
 
-__all__ = ["Sequential"]
+__all__ = ["PrefixCache", "Sequential", "predict_classes"]
 
 
 class Sequential:
@@ -233,3 +237,50 @@ class Sequential:
             f"Sequential(name={self.name!r}, layers={len(self.layers)}, "
             f"n_params={self.n_params})"
         )
+
+
+def predict_classes(logits: np.ndarray) -> np.ndarray:
+    """Arg-max class of each logit row; a non-finite row predicts no class.
+
+    A row containing NaN or ±Inf gets ``-1``, which matches no label, so an
+    image whose logits blew up never matches one by accident (``np.argmax``
+    alone would return the index of the first NaN).
+    """
+    logits = np.asarray(logits)
+    return np.where(np.isfinite(logits).all(axis=1), np.argmax(logits, axis=1), -1)
+
+
+class PrefixCache:
+    """Clean activations below layer ``start`` for suffix-only re-measurement.
+
+    The activations of ``images`` through ``model.layers[:start]`` are
+    computed once, in the same ``batch_size`` mini-batches as
+    :meth:`Sequential.predict_logits`.  :meth:`logits` then runs only
+    ``layers[start:logits_end]`` of any model whose layers below ``start``
+    equal the clean model's — every copy modified only from ``start`` on —
+    and returns exactly the logits ``predict_logits`` would: each layer sees
+    the same batch arrays in the same order.
+    """
+
+    def __init__(
+        self, model: Sequential, images: np.ndarray, start: int, *, batch_size: int = 256
+    ):
+        self.start = int(start)
+        self._prefix = [
+            model.forward_between(images[first : first + batch_size], 0, self.start)
+            for first in range(0, images.shape[0], batch_size)
+        ]
+
+    def logits(self, model: Sequential) -> np.ndarray:
+        """Logits of ``model`` on the cached images, re-running the suffix only."""
+        return np.concatenate(
+            [
+                model.forward_between(batch, self.start, model.logits_end)
+                for batch in self._prefix
+            ],
+            axis=0,
+        )
+
+    def predict(self, model: Sequential) -> np.ndarray:
+        """Predicted classes of ``model`` (``-1`` for non-finite logit rows)."""
+        return predict_classes(self.logits(model))

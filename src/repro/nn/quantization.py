@@ -141,7 +141,10 @@ def dequantize(words: np.ndarray, spec: QuantizationSpec) -> np.ndarray:
     """Decode raw storage words back to float64 parameter values."""
     words = np.asarray(words)
     if spec.kind in _FLOAT_FORMATS:
-        return words.view(_FLOAT_FORMATS[spec.kind]).astype(np.float64)
+        # Flipped exponent bits can encode signalling NaNs, whose widening
+        # raises an invalid-value flag; the value is a NaN either way.
+        with np.errstate(invalid="ignore"):
+            return words.view(_FLOAT_FORMATS[spec.kind]).astype(np.float64)
     ints = words.astype(np.int64)
     half = 2 ** (spec.total_bits - 1)
     ints = np.where(ints >= half, ints - 2**spec.total_bits, ints)

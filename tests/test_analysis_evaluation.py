@@ -109,12 +109,20 @@ class TestEvaluateAttackResults:
         ]
 
     def test_matches_scalar_evaluation_bitwise(self, results, tiny_model, tiny_split):
+        images, labels = tiny_split.test.images, tiny_split.test.labels
         batched = evaluate_attack_results(results, tiny_split.test, clean_model=tiny_model)
         scalar = [
             evaluate_attack_result(result, tiny_split.test, clean_model=tiny_model)
             for result in results
         ]
         assert [e.as_dict() for e in batched] == [e.as_dict() for e in scalar]
+        # The suffix-only accuracies equal full-network evaluations exactly.
+        clean = tiny_model.evaluate(images, labels)
+        for evaluation, result in zip(batched, results):
+            assert evaluation.clean_test_accuracy == clean
+            assert evaluation.attacked_test_accuracy == result.modified_model().evaluate(
+                images, labels
+            )
 
     def test_empty_input(self, tiny_split):
         assert evaluate_attack_results([], tiny_split.test) == []

@@ -14,8 +14,13 @@ from repro.attacks.parameter_view import ParameterView
 from repro.attacks.targets import make_attack_plan
 from repro.hardware.bitflip import plan_bit_flips
 from repro.hardware.memory import MemoryLayout, ParameterMemoryMap
+from repro.nn.model import Sequential
 from repro.nn.quantization import storage_spec
 from repro.utils.errors import ConfigurationError
+
+# Lowering handles every Inf/NaN a flipped word can decode to; none of that
+# handling may leak a RuntimeWarning.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 FAST_CONFIG = FaultSneakingConfig(
     norm="l0", iterations=50, warmup_iterations=200, refine_support_steps=20
@@ -230,3 +235,78 @@ class TestLowerAttack:
 
         with pytest.raises(ConfigurationError):
             lower_attack(FakeResult())
+
+
+class TestRemeasurement:
+    """Bit-true re-measurement: non-finite logits and the work it does."""
+
+    def test_nan_logits_count_as_no_class(self, attack_result, tiny_split):
+        """A NaN weight in fc_logits makes every logit row NaN.
+
+        ``np.argmax`` would then predict class 0 (the first NaN) for every
+        image and count each image whose desired label is 0 as a success or
+        keep; no image may count at all.
+        """
+        view = attack_result.view
+        block = view.block_for("fc_logits", "W")
+        delta = attack_result.delta.copy()
+        delta[block.offset] = np.nan  # W[0, 0]: feeds class 0 of every image
+
+        class NanResult:
+            pass
+
+        result = NanResult()
+        result.view, result.plan, result.delta = view, attack_result.plan, delta
+        assert (attack_result.plan.desired_labels == 0).any()
+        assert (tiny_split.test.labels == 0).any()
+
+        report = lower_attack(
+            result, storage="float32", eval_set=tiny_split.test, trials=2, rng=0
+        )
+        W = report.attacked_model.get_layer("fc_logits").params["W"]
+        assert np.isnan(W[0, 0])
+        assert report.success_rate == 0.0
+        assert report.keep_rate == 0.0
+        assert report.attacked_accuracy == 0.0
+        assert report.clean_accuracy > 0.0
+        assert np.all(report.trial_stats.success_rates == 0.0)
+        assert np.all(report.trial_stats.keep_rates == 0.0)
+        assert np.all(report.trial_stats.accuracies == 0.0)
+
+    def test_trials_reuse_one_model_and_forward_only_the_suffix(
+        self, attack_result, tiny_split, monkeypatch
+    ):
+        copies = []
+        full_depth = []
+        original_copy = Sequential.copy
+        original_forward = Sequential.forward_between
+
+        def counting_copy(self):
+            copies.append(1)
+            return original_copy(self)
+
+        def counting_forward(self, x, start=0, stop=None, training=False):
+            if start == 0 and (stop is None or stop >= self.logits_end):
+                full_depth.append(1)
+            return original_forward(self, x, start, stop, training)
+
+        monkeypatch.setattr(Sequential, "copy", counting_copy)
+        monkeypatch.setattr(Sequential, "forward_between", counting_forward)
+
+        def run(trials):
+            copies.clear()
+            full_depth.clear()
+            lower_attack(
+                attack_result,
+                storage="int8",
+                profile="server-ecc",
+                eval_set=tiny_split.test,
+                trials=trials,
+                rng=3,
+            )
+            return len(copies), len(full_depth)
+
+        _, forwards_one = run(1)
+        copies_eight, forwards_eight = run(8)
+        assert copies_eight <= 2
+        assert forwards_eight == forwards_one

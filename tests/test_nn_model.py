@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.nn.layers import Dense, Flatten, ReLU, Softmax
-from repro.nn.model import Sequential
+from repro.nn.model import PrefixCache, Sequential, predict_classes
 from repro.utils.errors import ConfigurationError
+from repro.zoo.architectures import compact_cnn
 
 RNG = np.random.default_rng(0)
 
@@ -183,3 +184,44 @@ class TestConfig:
         rebuilt = Sequential.from_config(model.get_config())
         assert [l.name for l in rebuilt.layers] == [l.name for l in model.layers]
         assert rebuilt.n_params == model.n_params
+
+
+class TestPrefixCache:
+    """Suffix-only re-measurement equals a full-network pass bit for bit."""
+
+    BATCH = 8
+
+    @pytest.fixture(scope="class")
+    def cnn(self):
+        return compact_cnn((12, 12, 1), 6, seed=4, hidden=(20, 16), conv_channels=(4, 8))
+
+    @pytest.mark.parametrize("layer", ["fc_logits", "fc1", "conv1"])
+    @pytest.mark.parametrize("count", [5, BATCH, 19])  # below, equal, not a multiple
+    def test_logits_match_predict_logits(self, cnn, layer, count):
+        images = np.random.default_rng(count).random((count, 12, 12, 1))
+        start = cnn.layer_index(layer)
+        if layer == "conv1":
+            assert start == 0
+        cache = PrefixCache(cnn, images, start, batch_size=self.BATCH)
+        attacked = cnn.copy()
+        weights = attacked.get_layer(layer).params["W"]
+        weights += np.random.default_rng(1).normal(0.0, 0.3, weights.shape)
+        for model in (cnn, attacked):
+            expected = model.predict_logits(images, batch_size=self.BATCH)
+            np.testing.assert_array_equal(cache.logits(model), expected)
+            np.testing.assert_array_equal(cache.predict(model), np.argmax(expected, axis=1))
+
+    def test_non_finite_rows_predict_no_class(self):
+        logits = np.array(
+            [[0.1, 2.0, -1.0], [np.nan, 0.0, 1.0], [0.0, np.inf, 1.0], [3.0, 0.0, -np.inf]]
+        )
+        np.testing.assert_array_equal(predict_classes(logits), [1, -1, -1, -1])
+
+    def test_nan_weights_predict_no_class(self, cnn):
+        images = np.random.default_rng(2).random((6, 12, 12, 1))
+        cache = PrefixCache(cnn, images, cnn.layer_index("fc_logits"))
+        broken = cnn.copy()
+        broken.get_layer("fc_logits").params["W"][0, 0] = np.nan
+        # Plain argmax would report class 0, the first NaN, for every image.
+        assert np.all(np.argmax(broken.predict_logits(images), axis=1) == 0)
+        np.testing.assert_array_equal(cache.predict(broken), np.full(6, -1))

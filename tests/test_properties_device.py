@@ -13,6 +13,10 @@ Three families of properties, per the device model's contracts:
   returns must actually satisfy the budget, template, TRR and ECC
   constraints it was repaired against.
 
+Plus *broadcast lookups*: template feasibility and landing probabilities
+evaluated on broadcast ``(1, W, 1)`` / ``(1, 1, B)`` / ``(K, W, 1)`` operands
+equal the same lookups on the fully materialised, raveled grid.
+
 Plus the SECDED decoder fuzz: for random groups of 3+ simultaneous flips the
 decoder must never claim success while handing back a data word that differs
 from a valid codeword by a single data bit (a "false corrected" word) — any
@@ -22,6 +26,8 @@ check-bit position.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.attacks.lowering import HardwareBudget, _frames_for, repair_plan
 from repro.attacks.parameter_view import ParameterSelector, ParameterView
@@ -364,3 +370,59 @@ class TestRepairFeasibility:
             plan.num_flips - repair.flips_dropped + repair.flips_added
             == repaired.num_flips
         )
+
+
+class TestBroadcastLookups:
+    """Broadcast template lookups equal the raveled per-cell call exactly."""
+
+    @given(
+        frames_k=st.integers(1, 5),
+        words=st.integers(1, 6),
+        bits=st.sampled_from([8, 16, 32]),
+        seed=st.integers(0, 2**31 - 1),
+        flip_probability=st.floats(0.0, 1.0),
+        landing=st.floats(0.05, 1.0),
+        scale=st.sampled_from([0.5, 0.8, 1.0, 1.25]),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_broadcast_equals_raveled(
+        self, frames_k, words, bits, seed, flip_probability, landing, scale, data
+    ):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        template = FlipTemplate(
+            seed=seed, flip_probability=flip_probability, landing_probability=landing
+        )
+        addresses = np.sort(rng.choice(4096, size=words, replace=False)).astype(np.int64) * 4
+        cell_bits = np.arange(bits, dtype=np.int64)
+        original = rng.integers(0, 2, size=(words, bits))
+        frames = (addresses // 8)[None, :] * frames_k + np.arange(frames_k)[:, None]
+
+        shape = (frames_k, words, bits)
+        grid = [
+            np.broadcast_to(addresses[None, :, None], shape).ravel(),
+            np.broadcast_to(cell_bits[None, None, :], shape).ravel(),
+            np.broadcast_to(frames[:, :, None], shape).ravel(),
+        ]
+        raveled_feasible = template.feasible_cells(
+            grid[0], grid[1], np.broadcast_to(original[None], shape).ravel(), grid[2]
+        ).reshape(shape)
+        raveled_probabilities = template.cell_flip_probabilities(
+            grid[0], grid[1], grid[2], scale=scale
+        ).reshape(shape)
+
+        feasible = template.feasible_cells(
+            addresses[None, :, None],
+            cell_bits[None, None, :],
+            original[None],
+            frames[:, :, None],
+        )
+        probabilities = template.cell_flip_probabilities(
+            addresses[None, :, None],
+            cell_bits[None, None, :],
+            frames[:, :, None],
+            scale=scale,
+        )
+        assert feasible.shape == probabilities.shape == shape
+        np.testing.assert_array_equal(feasible, raveled_feasible)
+        np.testing.assert_array_equal(probabilities, raveled_probabilities)

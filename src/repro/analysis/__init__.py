@@ -10,7 +10,7 @@ from repro.analysis.tolerance import ToleranceCurve, fault_tolerance_curve
 from repro.analysis.sweeps import SweepRecord, sweep_s_r_grid
 from repro.analysis.reporting import Table, format_float, render_markdown, render_text
 from repro.analysis.plotting import ascii_bar_chart, ascii_line_chart
-from repro.analysis.detection import (
+from repro.defenses.detectors import (
     DetectionReport,
     detection_report,
     parameter_audit_detection_probability,

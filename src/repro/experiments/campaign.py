@@ -17,13 +17,12 @@ memoized and resumed uniformly:
 * :class:`ArtifactStore` — content-hash-keyed on-disk memoization of job
   results built on :class:`repro.utils.cache.DiskCache`; re-runs and resumed
   campaigns skip completed cells.
-* Executors — four backends behind one :class:`ExecutorConfig` +
-  :func:`make_executor` factory and one ``run(campaign, *, registry,
-  on_event)`` contract: serial in-process execution, a
-  ``multiprocessing.Pool``, a ``concurrent.futures.ProcessPoolExecutor``,
-  and the socket-attached worker fleet of
-  :mod:`repro.experiments.service`.  The old positional constructors
-  survive as deprecation shims.
+* Executors — three backends behind one :class:`ExecutorConfig` +
+  :func:`make_executor` factory and one ``run(campaign, *, registry)``
+  contract: serial in-process execution, a
+  ``concurrent.futures.ProcessPoolExecutor``, and the socket-attached worker
+  fleet of :mod:`repro.experiments.service`.  Progress is published on the
+  telemetry bus (:func:`repro.experiments.telemetry.bus.global_bus`).
 * :func:`run_campaign` — dedupe, artifact lookup, victim-model warm-up,
   dispatch, incremental artifact writes and a structured manifest
   (:meth:`CampaignResult.write_manifest`).
@@ -46,10 +45,8 @@ from __future__ import annotations
 
 import json
 import math
-import multiprocessing
 import random
 import time
-import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
 import numpy as np
@@ -57,7 +54,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
-from repro.experiments.telemetry.bus import global_bus
+from repro.experiments.telemetry.bus import CallbackSink, global_bus
 from repro.experiments.telemetry.events import (
     JobCached,
     JobFinished,
@@ -83,11 +80,9 @@ __all__ = [
     "Campaign",
     "CampaignStats",
     "CampaignResult",
-    "EventCallback",
     "ExecutorConfig",
     "Executor",
     "SerialExecutor",
-    "MultiprocessingExecutor",
     "FuturesExecutor",
     "make_executor",
     "run_campaign",
@@ -97,15 +92,7 @@ __all__ = [
 
 _LOGGER = get_logger("experiments.campaign")
 
-EXECUTOR_BACKENDS = ("serial", "multiprocessing", "process-pool", "fleet")
-
-# Structured-progress callback: receives one typed telemetry event per
-# campaign state change (job started/done/cached, worker attach/detach,
-# dispatcher-ready).  Events are mapping-compatible (``event["event"]`` is the
-# short name), so dictionary-era callbacks keep working.  Every event also
-# reaches the process-wide telemetry bus (:func:`repro.experiments.telemetry.
-# bus.global_bus`) regardless of whether a callback is given.
-EventCallback = Callable[[TelemetryEvent], None]
+EXECUTOR_BACKENDS = ("serial", "process-pool", "fleet")
 
 
 # -- job specs and results -----------------------------------------------------------
@@ -342,16 +329,14 @@ def _execute_spec(spec: JobSpec) -> JobResult:
 class ExecutorConfig:
     """One configuration object for every executor backend.
 
-    The three in-process backends read ``backend``/``jobs``/``cache_dir``
-    only; the remaining fields configure the socket-attached worker fleet
+    The in-process backends read ``backend``/``jobs`` only; the remaining
+    fields configure the socket-attached worker fleet
     (:mod:`repro.experiments.service`).  Construct one of these and hand it
-    to :func:`make_executor` — the per-class positional constructors are
-    deprecated.
+    to :func:`make_executor`.
     """
 
     backend: str = "serial"
     jobs: int = 1
-    cache_dir: str | None = None
     # -- fleet-only settings ---------------------------------------------------------
     artifact_dir: str | None = None  # workers write results through this store
     host: str = "127.0.0.1"
@@ -377,58 +362,22 @@ class Executor:
     """Base class of all campaign executors: one config, one run contract.
 
     Subclasses set ``name``/``parallel`` and implement
-    ``run(campaign, *, registry=None, on_event=None)``, yielding one
-    :class:`JobResult` per pending job (any order).  ``campaign`` may be a
-    :class:`Campaign` (its deduplicated jobs run) or an iterable of
-    :class:`JobSpec`; ``on_event`` is an optional callable receiving
-    structured progress dictionaries (the seed of ROADMAP item 5's event
-    bus).
-
-    Constructing a subclass with the historical positional signature
-    ``(jobs, cache_dir)`` still works but emits a
-    :class:`DeprecationWarning`; pass an :class:`ExecutorConfig` instead.
+    ``run(campaign, *, registry=None)``, yielding one :class:`JobResult` per
+    pending job (any order) and publishing their progress events on the
+    telemetry bus.  ``campaign`` may be a :class:`Campaign` (its
+    deduplicated jobs run) or an iterable of :class:`JobSpec`.
     """
 
     name: str = "abstract"
     parallel: bool = False
 
-    def __init__(
-        self, config: ExecutorConfig | int | None = None, cache_dir: str | None = None
-    ):
-        if isinstance(config, ExecutorConfig):
-            if cache_dir is not None:
-                raise ConfigurationError(
-                    "pass cache_dir inside ExecutorConfig, not alongside it"
-                )
-            if config.backend != self.name:
-                config = replace(config, backend=self.name)
-        elif config is None and cache_dir is None:
-            config = ExecutorConfig(backend=self.name)
-        else:
-            warnings.warn(
-                f"{type(self).__name__}(jobs, cache_dir) is deprecated; build an "
-                f"ExecutorConfig(backend={self.name!r}, jobs=..., cache_dir=...) "
-                "and pass it to make_executor() or the constructor",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            jobs = 1 if config is None else config
-            if not isinstance(jobs, int) or isinstance(jobs, bool):
-                raise ConfigurationError(
-                    f"jobs must be an integer, got {type(jobs).__name__}"
-                )
-            config = ExecutorConfig(backend=self.name, jobs=jobs, cache_dir=cache_dir)
-        self.config = config
+    def __init__(self, config: ExecutorConfig | None = None):
+        self.config = replace(_require_config(config or ExecutorConfig()), backend=self.name)
 
     @property
     def jobs(self) -> int:
         """Degree of parallelism this executor reports in campaign stats."""
         return self.config.jobs
-
-    @property
-    def cache_dir(self) -> str | None:
-        """Model-cache override handed to worker processes."""
-        return self.config.cache_dir
 
     @staticmethod
     def _pending_specs(campaign: "Campaign | Iterable[JobSpec]") -> list[JobSpec]:
@@ -437,24 +386,23 @@ class Executor:
             return campaign.unique_jobs()
         return list(campaign)
 
-    @staticmethod
-    def _emit(
-        on_event: EventCallback | None, event: TelemetryEvent
-    ) -> TelemetryEvent:
-        """Publish to the global telemetry bus, then the legacy callback."""
-        event = global_bus().publish(event)
-        if on_event is not None:
-            on_event(event)
-        return event
-
     def run(
         self,
         campaign: "Campaign | Iterable[JobSpec]",
         *,
         registry: ModelRegistry | None = None,
-        on_event: EventCallback | None = None,
     ) -> Iterator[JobResult]:
         raise NotImplementedError
+
+
+def _job_finished(result: JobResult) -> JobFinished:
+    """The event the parent publishes once a cell's result is in hand."""
+    return JobFinished(
+        key=result.key,
+        kind=result.kind,
+        metrics=encode_metrics(result.metrics),
+        duration_s=result.elapsed,
+    )
 
 
 class SerialExecutor(Executor):
@@ -472,65 +420,14 @@ class SerialExecutor(Executor):
         campaign: "Campaign | Iterable[JobSpec]",
         *,
         registry: ModelRegistry | None = None,
-        on_event: EventCallback | None = None,
     ) -> Iterator[JobResult]:
         """Yield one result per job as it completes."""
+        bus = global_bus()
         for spec in self._pending_specs(campaign):
-            self._emit(on_event, JobStarted(key=spec.key, kind=spec.kind))
+            bus.publish(JobStarted(key=spec.key, kind=spec.kind))
             result = execute_job(spec, registry=registry)
-            self._emit(
-                on_event,
-                JobFinished(
-                    key=result.key,
-                    kind=result.kind,
-                    metrics=encode_metrics(result.metrics),
-                    duration_s=result.elapsed,
-                ),
-            )
+            bus.publish(_job_finished(result))
             yield result
-
-
-class MultiprocessingExecutor(Executor):
-    """Fan jobs out to a ``multiprocessing.Pool`` of worker processes."""
-
-    name = "multiprocessing"
-    parallel = True
-
-    def run(
-        self,
-        campaign: "Campaign | Iterable[JobSpec]",
-        *,
-        registry: ModelRegistry | None = None,
-        on_event: EventCallback | None = None,
-    ) -> Iterator[JobResult]:
-        """Yield results as workers complete them (unordered)."""
-        specs = self._pending_specs(campaign)
-        with multiprocessing.Pool(
-            processes=min(self.jobs, max(len(specs), 1)),
-            initializer=_init_worker,
-            initargs=self._initargs(registry),
-        ) as pool:
-            # Submission is the whole batch at once; job-started marks entry
-            # into the pool's queue, not the moment a worker picks it up.
-            for spec in specs:
-                self._emit(on_event, JobStarted(key=spec.key, kind=spec.kind))
-            # Unordered: results are keyed by spec hash, so arrival order is
-            # irrelevant and the parent can persist each artifact immediately.
-            for result in pool.imap_unordered(_execute_spec, specs):
-                self._emit(
-                    on_event,
-                    JobFinished(
-                        key=result.key,
-                        kind=result.kind,
-                        metrics=encode_metrics(result.metrics),
-                        duration_s=result.elapsed,
-                    ),
-                )
-                yield result
-
-    def _initargs(self, registry: ModelRegistry | None) -> tuple[str | None, bool]:
-        cache_dir, cache_disabled = _worker_registry_config(registry)
-        return (self.cache_dir or cache_dir, cache_disabled)
 
 
 class FuturesExecutor(Executor):
@@ -544,33 +441,24 @@ class FuturesExecutor(Executor):
         campaign: "Campaign | Iterable[JobSpec]",
         *,
         registry: ModelRegistry | None = None,
-        on_event: EventCallback | None = None,
     ) -> Iterator[JobResult]:
         """Yield results as workers complete them (unordered)."""
         specs = self._pending_specs(campaign)
-        cache_dir, cache_disabled = _worker_registry_config(registry)
+        bus = global_bus()
         with ProcessPoolExecutor(
             max_workers=min(self.jobs, max(len(specs), 1)),
             initializer=_init_worker,
-            initargs=(self.cache_dir or cache_dir, cache_disabled),
+            initargs=_worker_registry_config(registry),
         ) as executor:
             pending = set()
             for spec in specs:
                 pending.add(executor.submit(_execute_spec, spec))
-                self._emit(on_event, JobStarted(key=spec.key, kind=spec.kind))
+                bus.publish(JobStarted(key=spec.key, kind=spec.kind))
             while pending:
                 done, pending = wait(pending, return_when=FIRST_COMPLETED)
                 for future in done:
                     result = future.result()
-                    self._emit(
-                        on_event,
-                        JobFinished(
-                            key=result.key,
-                            kind=result.kind,
-                            metrics=encode_metrics(result.metrics),
-                            duration_s=result.elapsed,
-                        ),
-                    )
+                    bus.publish(_job_finished(result))
                     yield result
 
 
@@ -580,47 +468,21 @@ def _executor_class(backend: str) -> type[Executor]:
         from repro.experiments.service.fleet import FleetExecutor
 
         return FleetExecutor
-    return {
-        "serial": SerialExecutor,
-        "multiprocessing": MultiprocessingExecutor,
-        "process-pool": FuturesExecutor,
-    }[backend]
+    return {"serial": SerialExecutor, "process-pool": FuturesExecutor}[backend]
 
 
-def make_executor(
-    config: ExecutorConfig | int | None = None,
-    backend: str | None = None,
-    cache_dir: str | None = None,
-    *,
-    jobs: int | None = None,
-) -> Executor:
-    """Build an executor from an :class:`ExecutorConfig`.
+def _require_config(config: ExecutorConfig) -> ExecutorConfig:
+    """Reject anything but a config, e.g. the removed ``(jobs, cache_dir)`` shape."""
+    if not isinstance(config, ExecutorConfig):
+        raise ConfigurationError(
+            f"executors take an ExecutorConfig, got {type(config).__name__}"
+        )
+    return config
 
-    The historical ``make_executor(jobs, backend, cache_dir)`` call shape is
-    still accepted: it is normalised into a config, with ``backend=None``
-    selecting serial execution for ``jobs <= 1`` and the
-    ``concurrent.futures`` process pool otherwise.  Unknown backends raise
-    :class:`~repro.utils.errors.ConfigurationError` (a :class:`ValueError`)
-    naming the valid choices.
-    """
-    if isinstance(config, ExecutorConfig):
-        if backend is not None or cache_dir is not None or jobs is not None:
-            raise ConfigurationError(
-                "make_executor(config) takes no extra arguments; put backend/"
-                "jobs/cache_dir inside the ExecutorConfig"
-            )
-    else:
-        legacy_jobs = jobs if jobs is not None else config
-        if legacy_jobs is None:
-            legacy_jobs = 1
-        if not isinstance(legacy_jobs, int) or isinstance(legacy_jobs, bool):
-            raise ConfigurationError(
-                f"jobs must be an integer, got {type(legacy_jobs).__name__}"
-            )
-        if backend is None:
-            backend = "serial" if legacy_jobs <= 1 else "process-pool"
-        config = ExecutorConfig(backend=backend, jobs=legacy_jobs, cache_dir=cache_dir)
-    return _executor_class(config.backend)(config)
+
+def make_executor(config: ExecutorConfig) -> Executor:
+    """Build the executor ``config.backend`` names, configured by ``config``."""
+    return _executor_class(_require_config(config).backend)(config)
 
 
 # -- campaigns -----------------------------------------------------------------------
@@ -810,7 +672,7 @@ def run_campaign(
     jobs: int = 1,
     executor: Executor | ExecutorConfig | str | None = None,
     store: ArtifactStore | None = None,
-    on_event: EventCallback | None = None,
+    on_event: Callable[[TelemetryEvent], None] | None = None,
     fuse: bool = False,
 ) -> CampaignResult:
     """Execute a campaign and return its results and statistics.
@@ -832,9 +694,12 @@ def run_campaign(
         re-executed; freshly executed cells are persisted one by one, so an
         interrupted campaign resumes where it stopped.
     on_event:
-        Optional callback receiving structured progress dictionaries
-        (cache hits, job completions, fleet worker attach/detach).  Fleet
-        events arrive from a background thread.
+        Optional callback subscribed to :func:`~repro.experiments.telemetry.
+        bus.global_bus` for the duration of this call: it receives every
+        typed event published meanwhile (run start/finish, cache hits, job
+        start/finish, fleet worker attach/detach) on the publishing thread,
+        so serial and fused runs deliver a cell's ``JobStarted`` before the
+        cell executes.  Fleet events arrive from a background thread.
     fuse:
         Group compatible pending cells (see :mod:`repro.experiments.fusion`)
         into batched in-parent jobs — one stacked tensor solve per group —
@@ -842,16 +707,32 @@ def run_campaign(
         execution-plan rewrite: per-cell artifact keys, metrics, manifests
         and telemetry events are identical to an unfused run.
     """
-    started = time.perf_counter()
-    store = store if store is not None else ArtifactStore(enabled=False)
+    if isinstance(executor, str) or executor is None:
+        backend = executor or ("serial" if jobs <= 1 else "process-pool")
+        executor = ExecutorConfig(backend=backend, jobs=jobs)
     if isinstance(executor, ExecutorConfig):
         executor = make_executor(executor)
-    elif executor is None or isinstance(executor, str):
-        executor = make_executor(jobs=jobs, backend=executor)
+    bus = global_bus()
+    sink = bus.attach(CallbackSink(on_event)) if on_event is not None else None
+    try:
+        return _run_campaign(campaign, registry, executor, store, fuse)
+    finally:
+        if sink is not None:
+            bus.detach(sink)
 
+
+def _run_campaign(
+    campaign: Campaign,
+    registry: ModelRegistry | None,
+    executor: Executor,
+    store: ArtifactStore | None,
+    fuse: bool,
+) -> CampaignResult:
+    started = time.perf_counter()
+    store = store if store is not None else ArtifactStore(enabled=False)
+    bus = global_bus()
     unique = campaign.unique_jobs()
-    Executor._emit(
-        on_event,
+    bus.publish(
         RunStarted(
             campaign=campaign.name,
             scale=campaign.scale,
@@ -867,7 +748,7 @@ def run_campaign(
         cached = store.load(spec)
         if cached is not None:
             results[spec.key] = cached
-            Executor._emit(on_event, JobCached(key=spec.key, kind=spec.kind))
+            bus.publish(JobCached(key=spec.key, kind=spec.kind))
         else:
             pending.append(spec)
     cache_hits = len(results)
@@ -907,20 +788,12 @@ def run_campaign(
         # per-job (event, key, kind) multiset of a fused run equals the
         # serial run's.
         for spec in group:
-            Executor._emit(on_event, JobStarted(key=spec.key, kind=spec.kind))
+            bus.publish(JobStarted(key=spec.key, kind=spec.kind))
         for result in run_fused_group(group, registry=registry):
             store.store(result)
             results[result.key] = result
-            Executor._emit(
-                on_event,
-                JobFinished(
-                    key=result.key,
-                    kind=result.kind,
-                    metrics=encode_metrics(result.metrics),
-                    duration_s=result.elapsed,
-                ),
-            )
-    for result in executor.run(pending, registry=registry, on_event=on_event):
+            bus.publish(_job_finished(result))
+    for result in executor.run(pending, registry=registry):
         store.store(result)
         results[result.key] = result
 
@@ -932,8 +805,7 @@ def run_campaign(
         executor=executor.name,
         jobs=executor.jobs,
     )
-    Executor._emit(
-        on_event,
+    bus.publish(
         RunFinished(
             campaign=campaign.name,
             total_jobs=stats.total,

@@ -1,8 +1,8 @@
 """Fleet executor: dispatcher + detachable worker subprocesses, one backend.
 
-``FleetExecutor`` gives the campaign engine a fourth backend with the same
-``run(campaign, *, registry, on_event)`` contract as the in-process
-executors, but built on the campaign service: it starts an asyncio
+``FleetExecutor`` gives the campaign engine a third backend with the same
+``run(campaign, *, registry)`` contract as the in-process executors, but
+built on the campaign service: it starts an asyncio
 :class:`~repro.experiments.service.dispatcher.Dispatcher` on an ephemeral
 localhost port, submits the pending jobs, spawns ``config.jobs`` worker
 subprocesses that attach over the socket, and yields results back to the
@@ -32,7 +32,6 @@ from typing import Any
 import repro
 from repro.experiments.campaign import (
     Campaign,
-    EventCallback,
     Executor,
     JobResult,
     JobSpec,
@@ -108,7 +107,6 @@ class FleetExecutor(Executor):
         campaign: "Campaign | Iterable[JobSpec]",
         *,
         registry: ModelRegistry | None = None,
-        on_event: EventCallback | None = None,
     ) -> Iterator[JobResult]:
         """Yield one result per pending job as the fleet completes them."""
         specs = self._pending_specs(campaign)
@@ -116,10 +114,9 @@ class FleetExecutor(Executor):
             return
         out: queue.Queue[tuple[str, Any]] = queue.Queue()
         cache_dir, cache_disabled = _worker_registry_config(registry)
-        cache_dir = self.config.cache_dir or cache_dir
         thread = threading.Thread(
             target=self._thread_main,
-            args=(specs, cache_dir, cache_disabled, on_event, out),
+            args=(specs, cache_dir, cache_disabled, out),
             name="fleet-dispatcher",
             daemon=True,
         )
@@ -141,13 +138,10 @@ class FleetExecutor(Executor):
         specs: list[JobSpec],
         cache_dir: str | None,
         cache_disabled: bool,
-        on_event: EventCallback | None,
         out: "queue.Queue[tuple[str, Any]]",
     ) -> None:
         try:
-            asyncio.run(
-                self._serve(specs, cache_dir, cache_disabled, on_event, out)
-            )
+            asyncio.run(self._serve(specs, cache_dir, cache_disabled, out))
         except BaseException as exc:  # noqa: BLE001 - relayed to the caller
             out.put(("error", exc))
         finally:
@@ -158,7 +152,6 @@ class FleetExecutor(Executor):
         specs: list[JobSpec],
         cache_dir: str | None,
         cache_disabled: bool,
-        on_event: EventCallback | None,
         out: "queue.Queue[tuple[str, Any]]",
     ) -> None:
         config = self.config
@@ -168,13 +161,10 @@ class FleetExecutor(Executor):
             lease_seconds=config.lease_seconds,
             heartbeat_seconds=config.heartbeat_seconds,
             max_attempts=config.max_attempts,
-            on_event=on_event,
         )
         await dispatcher.start()
-        dispatcher._emit(
-            DispatcherUp(
-                host=dispatcher.host, port=dispatcher.port, jobs=len(specs)
-            )
+        dispatcher.bus.publish(
+            DispatcherUp(host=dispatcher.host, port=dispatcher.port, jobs=len(specs))
         )
         if not config.spawn_workers:
             _LOGGER.warning(

@@ -1,15 +1,15 @@
 """Structured telemetry for campaign runs: typed events, bus, sinks, metrics.
 
 The package unifies what used to be three ad-hoc reporting paths (the
-executors' ``on_event`` dictionaries, the dispatcher's event callbacks and
-the runner's inline ``[saved ...]`` printing) behind one typed event stream:
+executors' progress dictionaries, the dispatcher's event callbacks and the
+runner's inline ``[saved ...]`` printing) behind one typed event stream:
 
 * :mod:`~repro.experiments.telemetry.events` — the frozen event dataclasses
   (same TypeName/Version frame discipline as the fleet wire protocol, gated
   by the RPL004 schema snapshot);
 * :mod:`~repro.experiments.telemetry.bus` — the publish/fan-out bus and the
   standard sinks (JSON-lines file, localhost socket broadcast, counters,
-  legacy-callback adapter);
+  callback adapter);
 * :mod:`~repro.experiments.telemetry.aggregate` — fold an event stream into
   run metrics (job states, cache-hit rate, throughput, latency percentiles,
   Monte-Carlo CI widths).

@@ -13,7 +13,9 @@ objects with an ``emit(event)`` method; this module ships the standard set:
   including a replay of history on attach so late subscribers see the full
   run;
 * :class:`CountingSink` — per-event-name counters (benchmarks, smoke tests);
-* :class:`CallbackSink` — adapt a legacy ``on_event`` callable to the bus.
+* :class:`CallbackSink` — adapt a plain callable to the bus; this is how
+  :func:`~repro.experiments.campaign.run_campaign` subscribes its progress
+  callback for the length of one run.
 
 The process-wide default bus (:func:`global_bus`) is what the executors and
 the dispatcher publish to; with no sinks attached, publishing only stamps the
@@ -34,7 +36,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import IO, Any, Protocol
 
-from repro.experiments.telemetry.events import TelemetryEvent
+from repro.experiments.telemetry.events import ArtifactSaved, TelemetryEvent
 from repro.experiments.wire import decode_frame, encode_frame
 
 __all__ = [
@@ -158,7 +160,7 @@ class JsonlSink:
 
 
 class CountingSink:
-    """Count events by legacy short name; cheap enough for benchmarks."""
+    """Count events by short name; cheap enough for benchmarks."""
 
     def __init__(self) -> None:
         self.counts: Counter[str] = Counter()
@@ -182,9 +184,9 @@ class CountingSink:
 
 
 class CallbackSink:
-    """Adapt a legacy ``on_event`` callable (events are mapping-compatible)."""
+    """Hand every event to a plain callable (``run_campaign``'s callback)."""
 
-    def __init__(self, callback: Callable[[Any], None]) -> None:
+    def __init__(self, callback: Callable[[TelemetryEvent], None]) -> None:
         self._callback = callback
 
     def emit(self, event: TelemetryEvent) -> None:
@@ -200,12 +202,12 @@ class ConsoleSink:
         self._lock = threading.Lock()
 
     def emit(self, event: TelemetryEvent) -> None:
-        name = event.EVENT
-        if name == "artifact-saved":
+        if isinstance(event, ArtifactSaved):
             # The runner's historical stderr contract.
             with self._lock:
-                print(f"[saved {event['path']}]", file=self._stream, flush=True)
+                print(f"[saved {event.path}]", file=self._stream, flush=True)
             return
+        name = event.EVENT
         if not self._verbose and name not in (
             "run-started",
             "run-finished",

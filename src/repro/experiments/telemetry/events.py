@@ -8,7 +8,7 @@ canonical sorted-key JSON, strict decode, and coverage by the RPL004 schema
 snapshot gate.  A telemetry stream is therefore replayable: a JSON-lines run
 log decodes back into the exact event objects the live run published.
 
-Event taxonomy (``TypeName`` → legacy short name):
+Event taxonomy (``TypeName`` → short name ``EVENT``):
 
 ======================== =================== ==================================
 ``telemetry.run.started``     ``run-started``     campaign accepted for execution
@@ -25,10 +25,6 @@ Event taxonomy (``TypeName`` → legacy short name):
 ``telemetry.artifact.saved``  ``artifact-saved``  CSV/manifest/log written
 ======================== =================== ==================================
 
-Events are mapping-compatible (``event["event"]`` returns the legacy short
-name, ``event["key"]`` reads a field) so pre-bus ``on_event`` consumers keep
-working unchanged.
-
 The ``t`` field is a *monotonic* timestamp stamped by the publishing
 :class:`~repro.experiments.telemetry.bus.TelemetryBus` (``time.monotonic``,
 never the wall clock — RPL002): differences between event times are real
@@ -38,7 +34,7 @@ durations, absolute values are only meaningful within one run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, ClassVar
+from typing import ClassVar
 
 from repro.experiments.wire import Message, register_message
 
@@ -69,29 +65,13 @@ TELEMETRY_TYPE_PREFIX = "telemetry."
 class TelemetryEvent(Message):
     """Behaviour-only base of every telemetry event (never on the wire).
 
-    Adds the legacy short name (``EVENT``) and read-only mapping access so
-    dictionary-era ``on_event`` callbacks (``event["event"]``,
-    ``event.get("worker")``) consume typed events without changes.
+    Adds the short event name (``EVENT``) that sinks, counters and the
+    console renderer key on.
     """
 
     ABSTRACT_BASE: ClassVar[bool] = True
-    # Legacy short name, the pre-bus "event" dictionary key.
+    # Short name, e.g. "job-done"; see the taxonomy table above.
     EVENT: ClassVar[str] = ""
-
-    def __getitem__(self, key: str) -> Any:
-        if key == "event":
-            return self.EVENT
-        try:
-            return getattr(self, key)
-        except AttributeError:
-            raise KeyError(key) from None
-
-    def get(self, key: str, default: Any = None) -> Any:
-        """Mapping-style field access with a default (legacy consumers)."""
-        try:
-            return self[key]
-        except KeyError:
-            return default
 
 
 @register_message

@@ -1,8 +1,8 @@
-"""Tests for repro.analysis.detection (stealth / detectability extension)."""
+"""Tests for repro.defenses.detectors (stealth / detectability extension)."""
 
 import pytest
 
-from repro.analysis.detection import (
+from repro.defenses.detectors import (
     detection_report,
     parameter_audit_detection_probability,
     probe_detection_probability,

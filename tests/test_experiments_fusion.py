@@ -27,7 +27,15 @@ from repro.experiments.fusion import (
     register_fusion,
     run_fused_group,
 )
-from repro.experiments.telemetry import JobCached, JobFinished, JobStarted, global_bus
+from repro.experiments.service import SELFTEST_KIND
+from repro.experiments.telemetry import (
+    JobCached,
+    JobFinished,
+    JobStarted,
+    RunFinished,
+    RunStarted,
+    global_bus,
+)
 from repro.utils.errors import ConfigurationError
 
 # -- test-only fused job kind --------------------------------------------------------
@@ -250,6 +258,61 @@ class TestFusedCampaign:
         again = run_campaign(campaign, store=store, fuse=True)
         assert again.stats.cache_hits == 2
         assert again.stats.executed == 0
+
+
+# -- run_campaign(on_event=): a bus subscription that lasts one run ------------------
+
+
+def _selftest_campaign(values, *, fail=False):
+    jobs = tuple(JobSpec.make(SELFTEST_KIND, value=v, fail=fail) for v in values)
+    return Campaign(name="selftest", scale="smoke", seed=0, jobs=jobs)
+
+
+def _fused_echo_campaign(values):
+    return Campaign(
+        name="fused-echo", scale="smoke", seed=0, jobs=tuple(_echo("g", v) for v in values)
+    )
+
+
+class TestOnEventSubscription:
+    """The progress contract between-cell instrumentation relies on."""
+
+    @pytest.mark.parametrize(
+        "build, fuse",
+        [(_selftest_campaign, False), (_fused_echo_campaign, False), (_fused_echo_campaign, True)],
+        ids=["selftest-serial", "echo-serial", "echo-fused"],
+    )
+    def test_run_is_bracketed_and_each_job_starts_before_it_finishes(self, build, fuse):
+        campaign = build([1, 2, 3])
+        events = []
+        run_campaign(campaign, executor="serial", fuse=fuse, on_event=events.append)
+        assert isinstance(events[0], RunStarted)
+        assert isinstance(events[-1], RunFinished)
+        started = {e.key: i for i, e in enumerate(events) if isinstance(e, JobStarted)}
+        finished = {e.key: i for i, e in enumerate(events) if isinstance(e, JobFinished)}
+        assert set(started) == set(finished) == {spec.key for spec in campaign.jobs}
+        for key in started:
+            assert started[key] < finished[key]
+        if fuse:
+            # One batched group: every cell is announced before any reports.
+            assert max(started.values()) < min(finished.values())
+        else:
+            assert max(started.values()) > min(finished.values())
+
+    def test_callback_is_detached_after_return_and_after_a_failing_job(self):
+        bus = global_bus()
+        before = bus.sink_count
+        events = []
+        run_campaign(_selftest_campaign([1]), executor="serial", on_event=events.append)
+        assert bus.sink_count == before
+        with pytest.raises(RuntimeError, match="selftest failure"):
+            run_campaign(
+                _selftest_campaign([2], fail=True), executor="serial", on_event=events.append
+            )
+        assert bus.sink_count == before
+        seen = len(events)
+        bus.publish(JobCached(key="after", kind="t"))
+        assert len(events) == seen
 
 
 # -- serial vs fused equality on a real grid -----------------------------------------

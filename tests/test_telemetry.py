@@ -12,6 +12,7 @@ The acceptance bar of the telemetry subsystem:
 """
 
 import copy
+import io
 import json
 import math
 import socket
@@ -29,6 +30,7 @@ from repro.experiments.service import SELFTEST_KIND
 from repro.experiments.telemetry import (
     ArtifactSaved,
     CallbackSink,
+    ConsoleSink,
     CountingSink,
     JobCached,
     JobFinished,
@@ -132,13 +134,14 @@ class TestEventSchema:
         assert any(name in note for note in notices)
 
     def test_legacy_mapping_access(self):
+        # Events are read by attribute only; the dict-style view is gone.
         event = JobFinished(key="k", kind="t", metrics={}, duration_s=0.5)
-        assert event["event"] == "job-done"
-        assert event["key"] == "k"
-        assert event.get("worker") == ""
-        assert event.get("nonexistent", "dflt") == "dflt"
-        with pytest.raises(KeyError):
-            event["nonexistent"]
+        with pytest.raises(TypeError):
+            event["event"]  # type: ignore[index]
+        assert not hasattr(event, "get")
+        assert event.EVENT == "job-done"
+        assert event.key == "k"
+        assert event.worker == ""
 
 
 class TestBusAndSinks:
@@ -161,7 +164,7 @@ class TestBusAndSinks:
         bus.publish(JobStarted(key="b", kind="t"))
         assert counting.snapshot() == {"job-done": 1, "job-started": 2}
         assert counting.total() == 3
-        assert [e["event"] for e in seen] == ["job-started", "job-done", "job-started"]
+        assert [e.EVENT for e in seen] == ["job-started", "job-done", "job-started"]
 
     def test_broken_sink_does_not_block_other_sinks(self):
         bus = TelemetryBus()
@@ -285,7 +288,7 @@ class TestCampaignTelemetry:
             run_campaign(campaign, executor="serial")
         finally:
             bus.detach(sink)
-        names = [e["event"] for e in sink.events]
+        names = [e.EVENT for e in sink.events]
         assert names[0] == "run-started"
         assert names[-1] == "run-finished"
         assert names.count("job-started") == 3
@@ -294,19 +297,17 @@ class TestCampaignTelemetry:
         assert all(e.duration_s > 0.0 for e in done)
         assert all(e.metrics["square"] is not None for e in done)
 
-    @pytest.mark.parametrize("backend", ["multiprocessing", "process-pool"])
+    @pytest.mark.parametrize("backend", ["process-pool", "fleet"])
     def test_pool_executors_emit_job_started(self, backend):
         campaign = selftest_campaign([1, 2, 3, 4])
         sink = ListSink()
         bus = global_bus()
         bus.attach(sink)
         try:
-            run_campaign(
-                campaign, executor=ExecutorConfig(backend=backend, jobs=2)
-            )
+            run_campaign(campaign, executor=ExecutorConfig(backend=backend, jobs=2))
         finally:
             bus.detach(sink)
-        names = [e["event"] for e in sink.events]
+        names = [e.EVENT for e in sink.events]
         assert names.count("job-started") == 4
         assert names.count("job-done") == 4
         done = [e for e in sink.events if type(e) is JobFinished]
@@ -325,7 +326,7 @@ class TestCampaignTelemetry:
             run_campaign(campaign, executor="serial", store=store)
         finally:
             bus.detach(sink)
-        names = [e["event"] for e in sink.events]
+        names = [e.EVENT for e in sink.events]
         assert names.count("job-cached") == 2
         assert names.count("job-started") == 0
 
@@ -357,7 +358,7 @@ class TestCampaignTelemetry:
             fleet_sink.events
         )
         # The fleet stream carries the fleet-only membership events on top.
-        fleet_names = {e["event"] for e in fleet_sink.events}
+        fleet_names = {e.EVENT for e in fleet_sink.events}
         assert {"dispatcher-ready", "worker-attached", "job-submitted"} <= fleet_names
         # And the results themselves are byte-identical, as ever.
         for spec in campaign.jobs:
@@ -382,20 +383,22 @@ class TestCampaignTelemetry:
         assert replayed.snapshot() == live.snapshot()
 
 
-class TestEventCallbackCompat:
-    def test_on_event_receives_typed_events_with_mapping_access(self):
+class TestEventCallback:
+    def test_on_event_receives_typed_events(self):
         events = []
         run_campaign(
             selftest_campaign([5]), executor="serial", on_event=events.append
         )
         assert all(isinstance(e, TelemetryEvent) for e in events)
-        names = [e["event"] for e in events]
+        names = [e.EVENT for e in events]
         assert names == ["run-started", "job-started", "job-done", "run-finished"]
-        done = next(e for e in events if e["event"] == "job-done")
-        assert done["kind"] == SELFTEST_KIND
+        done = next(e for e in events if isinstance(e, JobFinished))
+        assert done.kind == SELFTEST_KIND
         assert done.t > 0.0
 
-    def test_artifact_saved_mapping(self):
-        event = ArtifactSaved(path="/tmp/x.csv", kind="table-csv", experiment="t3")
-        assert event["event"] == "artifact-saved"
-        assert event["path"] == "/tmp/x.csv"
+    def test_console_sink_prints_saved_path(self):
+        stream = io.StringIO()
+        ConsoleSink(stream).emit(
+            ArtifactSaved(path="/tmp/x.csv", kind="table-csv", experiment="t3")
+        )
+        assert stream.getvalue() == "[saved /tmp/x.csv]\n"
